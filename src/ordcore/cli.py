@@ -13,6 +13,18 @@ from pathlib import Path
 
 from . import cores, formats, gadgets, matchings, retraction
 from .graphs import GraphError, MonotoneMap, OrderedGraph
+from .hypergraphs import HypergraphError
+from .twosat import TwoSatError
+
+# the package's own errors, all raised on bad input; anything else is a bug
+_INPUT_ERRORS = (
+    formats.FormatError,
+    GraphError,
+    retraction.RetractionError,
+    gadgets.GadgetError,
+    HypergraphError,
+    TwoSatError,
+)
 
 
 def _read(path: str) -> str:
@@ -20,6 +32,8 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise formats.FormatError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise formats.FormatError(f"cannot read {path}: not UTF-8 text") from exc
 
 
 def _map_line(f: MonotoneMap) -> str:
@@ -316,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (formats.FormatError, GraphError, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,8 +13,8 @@ subgraph on the surviving vertex set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from functools import cache, partial
+from typing import Callable, Iterator, Sequence
 
 from . import _kernels
 from .graphs import (
@@ -76,6 +76,44 @@ def compute_core(g: OrderedGraph, descending: bool = False) -> CoreResult:
     return CoreResult(cur, emb, total)
 
 
+def _lex_subsets(
+    n: int, size: int, prefix_ok: Callable[[tuple[int, ...]], bool]
+) -> Iterator[tuple[int, ...]]:
+    """The size-subsets of range(n) in the order of itertools.combinations,
+    minus every subset whose proper prefix x_1 < .. < x_j fails prefix_ok.
+
+    A depth-first search that chooses one vertex per level; it keeps its
+    path in a list rather than on the call stack, because size can be close
+    to n.
+    """
+    x: list[int] = []
+    v = 0
+    while True:
+        if v > n - size + len(x):  # no room left for the remaining vertices
+            if not x:
+                return
+            v = x.pop() + 1
+            continue
+        x.append(v)
+        if len(x) == size:
+            yield tuple(x)
+            v = x.pop() + 1
+        elif prefix_ok(tuple(x)):
+            v += 1
+        else:
+            v = x.pop() + 1
+
+
+def _prefix_retracts(g: OrderedGraph, x: Sequence[int]) -> bool:
+    """Whether G[0..x_j] retracts onto {x_1..x_j}, x_j the last of x.
+
+    Any retraction of G onto a vertex set whose j smallest elements are x
+    restricts to such a map: it is monotone and fixes x_j, so 0..x_j lands in
+    {x_1..x_j}.  A failure therefore rules out every set with this prefix.
+    """
+    return decide_retraction(g, x, upto=x[-1] + 1) is not None
+
+
 def decide_core_with_k_vertices(
     g: OrderedGraph, k: int
 ) -> tuple[tuple[int, ...], MonotoneMap] | None:
@@ -87,12 +125,19 @@ def decide_core_with_k_vertices(
     itself qualifies), so a budget of n-1 succeeds exactly on non-cores;
     exact-size search lacks that property because retract sizes can skip
     values between the core size and n.  The exponential part is only the
-    subset enumeration.
+    subset enumeration, which skips the subsets whose prefix has no
+    retraction (see _prefix_retracts); prefix verdicts are shared between
+    sizes.
     """
     if not 1 <= k < g.n:
         raise GraphError(f"k={k} outside 1..{g.n - 1}")
+    prefix_ok = cache(partial(_prefix_retracts, g))
     for size in range(1, k + 1):
-        for x in combinations(range(g.n), size):
+        for x in _lex_subsets(g.n, size, prefix_ok):
+            # x's own prefix verdict is wanted at the next size anyway; when
+            # x ends at n-1 it would repeat the full test
+            if x[-1] < g.n - 1 and not prefix_ok(x):
+                continue
             r = decide_retraction(g, x)
             if r is not None:
                 return x, r
@@ -196,12 +241,14 @@ def solve_slice(
     Vertex subsets are enumerated lexicographically.  In the default mode a
     subset X qualifies when a retraction r: g -> g[X] exists and
     |r(E)| <= h <= |E(g[X])|; H is then r(E) padded with further induced
-    edges up to h.  With strict_hom the retraction requirement is dropped and
-    all ordered homomorphisms into g[X] are tried, which is exploratory and
-    much slower.
+    edges up to h.  Subsets whose prefix has no retraction are skipped
+    without a test (see _prefix_retracts).  With strict_hom the retraction
+    requirement is dropped and all ordered homomorphisms into g[X] are tried
+    on every subset, which is exploratory and much slower.
     """
     _validate_targets(g, tgt)
-    for x in combinations(range(g.n), tgt.g):
+    prefix_ok = (lambda x: True) if strict_hom else partial(_prefix_retracts, g)
+    for x in _lex_subsets(g.n, tgt.g, prefix_ok):
         xset = set(x)
         induced_edges = sorted(
             e for e in g.edges if e[0] in xset and e[1] in xset

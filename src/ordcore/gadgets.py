@@ -22,7 +22,7 @@ from itertools import combinations, product
 from typing import Iterable
 
 from .graphs import GraphError, MonotoneMap, OrderedGraph, new_graph
-from .hypergraphs import OrderedHypergraph, new_hypergraph
+from .hypergraphs import OrderedHypergraph, groups_connected, new_hypergraph
 from .cores import SliceTargets
 from .matchings import mc
 
@@ -56,21 +56,7 @@ class X13Formula:
 
     def is_connected(self) -> bool:
         """Connectivity of the clause-variable incidence graph."""
-        if self.var_count == 0:
-            return False
-        parent = list(range(self.var_count))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for cl in self.clauses:
-            for v in cl[1:]:
-                parent[find(v)] = find(cl[0])
-        roots = {find(v) for v in range(self.var_count)}
-        return len(roots) == 1
+        return groups_connected(self.var_count, self.clauses)
 
     def is_one_in_three(self, assignment: tuple[bool, ...]) -> bool:
         if len(assignment) != self.var_count:

@@ -48,18 +48,24 @@ class OrderedHypergraph:
 
     def is_connected(self) -> bool:
         """Connectivity of the vertex-hyperedge incidence structure."""
-        parent = list(range(self.n))
+        return groups_connected(self.n, self.hyperedges)
 
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
 
-        for e in self.hyperedges:
-            for v in e[1:]:
-                parent[find(v)] = find(e[0])
-        return len({find(v) for v in range(self.n)}) == 1
+def groups_connected(n: int, groups: Iterable[Sequence[int]]) -> bool:
+    """Whether the groups, each joining its members, link 0..n-1 into a
+    single component (False when n is 0); union-find with path halving."""
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for grp in groups:
+        for v in grp[1:]:
+            parent[find(v)] = find(grp[0])
+    return len({find(v) for v in range(n)}) == 1
 
 
 def new_hypergraph(

@@ -86,41 +86,54 @@ class RetractionEncoding:
         )
 
 
-def _check_x(g: OrderedGraph, x: Iterable[int]) -> tuple[int, ...]:
+def _check_x(g: OrderedGraph, x: Iterable[int], upto: int) -> tuple[int, ...]:
+    if not 1 <= upto <= g.n:
+        raise RetractionError(f"vertex range 0..{upto - 1} outside 0..{g.n - 1}")
     xs = sorted(set(x))
     if not xs:
         raise RetractionError("X must be nonempty")
-    if xs[0] < 0 or xs[-1] >= g.n:
+    if xs[0] < 0 or xs[-1] >= upto:
         raise RetractionError("X contains a vertex out of range")
     return tuple(xs)
 
 
-def decompose(g: OrderedGraph, x: Iterable[int]) -> SegmentDecomposition:
-    """Split the vertex order around the sorted anchors of X."""
-    anchors = _check_x(g, x)
+def decompose(
+    g: OrderedGraph, x: Iterable[int], upto: int | None = None
+) -> SegmentDecomposition:
+    """Split the vertex order around the sorted anchors of X.
+
+    upto restricts G to its first upto vertices (default: all of them).
+    """
+    upto = g.n if upto is None else upto
+    anchors = _check_x(g, x, upto)
     in_x = set(anchors)
     segments: list[tuple[int, ...]] = []
     cur: list[int] = []
-    for v in range(g.n):
+    for v in range(upto):
         if v in in_x:
             segments.append(tuple(cur))
             cur = []
         else:
             cur.append(v)
     segments.append(tuple(cur))
-    return SegmentDecomposition(g.n, anchors, tuple(segments))
+    return SegmentDecomposition(upto, anchors, tuple(segments))
 
 
 def encode(
-    g: OrderedGraph, x: Iterable[int], adjacent_pairs_only: bool = False
+    g: OrderedGraph,
+    x: Iterable[int],
+    adjacent_pairs_only: bool = False,
+    upto: int | None = None,
 ) -> RetractionEncoding | EarlyUnsat:
     """Build the 2-SAT instance whose solutions are the retractions G -> G[X].
 
     adjacent_pairs_only emits the within-segment ordering clauses only for
     consecutive pairs; equivalent by transitivity, kept off by default so the
-    emitted clause count is comparable against clause_bound().
+    emitted clause count is comparable against clause_bound().  upto replaces
+    G by its induced subgraph on the first upto vertices, so the instance
+    decides a retraction of that prefix onto X.
     """
-    d = decompose(g, x)
+    d = decompose(g, x, upto)
     var_of: dict[int, int] = {}
     seg_of: dict[int, int] = {}
     for k, seg in enumerate(d.segments):
@@ -148,7 +161,7 @@ def encode(
             clauses.append(((var_of[b], True), (var_of[a], False)))
 
     # edge constraints
-    for u, v in sorted(g.edges):
+    for u, v in sorted(e for e in g.edges if e[1] < d.n):
         u_free, v_free = u in var_of, v in var_of
         if not u_free and not v_free:
             continue  # anchor-anchor edges map to themselves
@@ -209,10 +222,16 @@ def decode(enc: RetractionEncoding, a: twosat.Assignment) -> MonotoneMap:
 
 
 def decide_retraction(
-    g: OrderedGraph, x: Iterable[int], adjacent_pairs_only: bool = False
+    g: OrderedGraph,
+    x: Iterable[int],
+    adjacent_pairs_only: bool = False,
+    upto: int | None = None,
 ) -> MonotoneMap | None:
-    """The retraction G -> G[X] decoded from the 2-SAT solution, or None."""
-    enc = encode(g, x, adjacent_pairs_only)
+    """The retraction G -> G[X] decoded from the 2-SAT solution, or None.
+
+    With upto, G is cut to its first upto vertices and the map has that length.
+    """
+    enc = encode(g, x, adjacent_pairs_only, upto)
     if isinstance(enc, EarlyUnsat):
         return None
     a = twosat.solve(enc.instance)

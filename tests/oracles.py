@@ -1,13 +1,18 @@
 """Reference implementations the tests trust instead of the package.
 
 Everything here enumerates with itertools and checks definitions directly;
-none of it shares code with the package's solvers.  Kept deliberately slow
-and obvious.
+none of it shares code with the package's solvers, except that brute_core_k
+and brute_slice run the package's polynomial retraction test (itself checked
+against `retract` here) on every subset, so that their witness maps are the
+same 2-SAT solutions the solvers return.  Kept deliberately slow and
+obvious.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
+
+from ordcore import decide_retraction
 
 
 def monotone_maps(n_from: int, n_to: int):
@@ -67,6 +72,40 @@ def core_vertices(g):
             if retract(g, x) is not None:
                 return x
     return tuple(range(g.n))
+
+
+def brute_core_k(g, k):
+    """First (X, retraction) with |X| <= k, smallest size first, then
+    lexicographic, trying every subset."""
+    for size in range(1, k + 1):
+        for x in combinations(range(g.n), size):
+            r = decide_retraction(g, x)
+            if r is not None:
+                return x, r
+    return None
+
+
+def brute_slice(g, tgt):
+    """First (X, H edges, retraction) of the default slice search, trying
+    every tgt.g-subset in lexicographic order."""
+    for x in combinations(range(g.n), tgt.g):
+        xset = set(x)
+        induced = sorted(e for e in g.edges if e[0] in xset and e[1] in xset)
+        if len(induced) < tgt.h:
+            continue
+        r = decide_retraction(g, x)
+        if r is None:
+            continue
+        img = {(min(r(u), r(v)), max(r(u), r(v))) for u, v in g.edges}
+        if len(img) > tgt.h:
+            continue
+        h_edges = set(img)
+        for e in induced:
+            if len(h_edges) == tgt.h:
+                break
+            h_edges.add(e)
+        return x, frozenset(h_edges), r
+    return None
 
 
 def chi(g) -> int:

@@ -1,6 +1,6 @@
 import pytest
 
-from ordcore import mc, new_graph, parse_graph, parse_hypergraph, serialize_graph
+from ordcore import cores, mc, new_graph, parse_graph, parse_hypergraph, serialize_graph
 from ordcore.cli import main
 
 P2 = "og 2 1\n0 1\n"
@@ -258,6 +258,21 @@ class TestErrors:
         code, _, err = run(capsys, "is-core", "/nonexistent/x.og")
         assert code == 2
         assert "error:" in err
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "bin.og"
+        p.write_bytes(b"og 2 1\n0 \xff\n")
+        code, _, err = run(capsys, "is-core", str(p))
+        assert code == 2
+        assert "not UTF-8" in err
+
+    def test_internal_value_error_is_not_bad_input(self, files, capsys, monkeypatch):
+        def broken(g, k):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(cores, "decide_core_with_k_vertices", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["core-k", files("m.og", MC4), "--k", "2"])
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,6 @@
-from itertools import combinations
+import random
+import sys
+from itertools import combinations, permutations
 
 import pytest
 
@@ -10,6 +12,8 @@ from ordcore import (
     InstanceIsCore,
     Neither,
     SliceTargets,
+    X13Formula,
+    brute_force_x13,
     compute_core,
     decide_core_chi,
     decide_core_with_k_vertices,
@@ -18,6 +22,7 @@ from ordcore import (
     is_core,
     new_graph,
     path_graph,
+    slice_gadget,
     solve_slice,
     solve_sub,
 )
@@ -148,6 +153,18 @@ class TestCoreK:
             hit = decide_core_with_k_vertices(g, g.n - 1)
             assert (hit is not None) == (not is_core(g))
 
+    def test_matches_subset_loop(self):
+        # the pruned search returns the same X and the same map as trying
+        # every subset, for every budget; sizes are tried smallest first, so
+        # a budget k finds the unbudgeted witness when it has <= k vertices
+        for g in small_graphs(5):
+            if g.n == 1:
+                continue
+            first = oracles.brute_core_k(g, g.n - 1)
+            for k in range(1, g.n):
+                want = first if first is not None and len(first[0]) <= k else None
+                assert decide_core_with_k_vertices(g, k) == want
+
 
 class TestCoreChi:
     def test_mc4(self):
@@ -217,6 +234,7 @@ class TestSlice:
                             want = x
                             break
                     got = solve_slice(g, SliceTargets(gt, ht))
+                    assert got == oracles.brute_slice(g, SliceTargets(gt, ht))
                     assert (got is None) == (want is None)
                     if got is not None:
                         x, edges, r = got
@@ -233,6 +251,52 @@ class TestSlice:
                     tgt = SliceTargets(gt, ht)
                     if solve_slice(g, tgt) is not None:
                         assert solve_slice(g, tgt, strict_hom=True) is not None
+
+
+class TestPrunedSearch:
+    """The prefix-pruned subset search against the plain subset loops."""
+
+    def test_random_graphs(self, seed):
+        rng = random.Random(seed)
+        for n in range(7, 11):
+            for p in (0.3, 0.5, 0.7):
+                g = new_graph(
+                    n, [e for e in combinations(range(n), 2) if rng.random() < p]
+                )
+                for k in (rng.randrange(1, n - 1), n - 1):
+                    want = oracles.brute_core_k(g, k)
+                    assert decide_core_with_k_vertices(g, k) == want
+                if g.m == 0:
+                    continue
+                for gt in (rng.randrange(1, n - 1), n - 1):
+                    tgt = SliceTargets(gt, rng.randrange(g.m))
+                    assert solve_slice(g, tgt) == oracles.brute_slice(g, tgt)
+
+    def test_satisfiable_slice_gadgets(self, seed):
+        rng = random.Random(seed)
+        perms = list(permutations((0, 1, 2)))
+        for _ in range(3):
+            phi = X13Formula(3, tuple(rng.choice(perms) for _ in range(3)))
+            g, tgt, _ = slice_gadget(phi)
+            got = solve_slice(g, tgt)
+            assert got is not None
+            assert got == oracles.brute_slice(g, tgt)
+
+    def test_unsatisfiable_slice_gadget(self):
+        phi = X13Formula(4, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+        assert brute_force_x13(phi) is None
+        g, tgt, _ = slice_gadget(phi)
+        assert solve_slice(g, tgt) is None
+
+    def test_depth_beyond_recursion_limit(self):
+        # keeping n-1 of n vertices walks a path of depth n-2 through the
+        # prefixes; the search must not recurse along it
+        n = sys.getrecursionlimit() + 10
+        g = new_graph(n, [(0, n - 2), (0, n - 1)])
+        tgt = SliceTargets(n - 1, 1)
+        got = solve_slice(g, tgt)
+        assert got == oracles.brute_slice(g, tgt)
+        assert got[0] == tuple(range(n - 1))
 
 
 class TestSub:

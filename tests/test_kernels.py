@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from itertools import combinations
@@ -124,15 +125,17 @@ class TestDispatch:
             [sys.executable, "-c",
              "import ordcore._kernels as k; print(k.backend())"],
             capture_output=True, text=True,
-            env={"ORDCORE_PURE": "1", "PATH": "/usr/bin:/bin"},
+            env={**os.environ, "ORDCORE_PURE": "1"},
         )
         assert out.stdout.strip() == "pure"
 
     def test_default_env_prefers_compiled(self):
+        # the parent environment keeps PYTHONPATH, so an uninstalled
+        # checkout imports the same package as this process
+        env = {k: v for k, v in os.environ.items() if k != "ORDCORE_PURE"}
         out = subprocess.run(
             [sys.executable, "-c",
              "import ordcore._kernels as k; print(k.backend())"],
-            capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin"},
+            capture_output=True, text=True, env=env,
         )
         assert out.stdout.strip() == "compiled"

@@ -160,6 +160,24 @@ class TestDecide:
             assert oracles.is_hom(g.edges, g.edges, thin.image)
 
 
+class TestVertexRange:
+    @settings(max_examples=100, deadline=None)
+    @given(graph_and_x(), st.data())
+    def test_upto_is_the_induced_prefix(self, gx, data):
+        g, x = gx
+        upto = data.draw(st.integers(max(x) + 1, g.n))
+        prefix, _ = g.induced(range(upto))
+        assert decide_retraction(g, x, upto=upto) == decide_retraction(prefix, x)
+
+    def test_bad_range(self):
+        with pytest.raises(RetractionError):
+            decompose(MC4, [0], upto=0)
+        with pytest.raises(RetractionError):
+            decompose(MC4, [0], upto=9)
+        with pytest.raises(RetractionError):
+            encode(MC4, [0, 5], upto=5)
+
+
 class TestSegmentMonotonicity:
     def test_assignment_monotone_within_segment(self):
         # within one segment the chosen sides must read false* true*
