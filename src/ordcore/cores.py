@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 from . import _kernels
@@ -21,6 +22,7 @@ from .graphs import (
     GraphError,
     MonotoneMap,
     OrderedGraph,
+    find_ordered_homomorphism,
     image_subgraph,
     interval_chromatic_number,
 )
@@ -205,84 +207,62 @@ def _validate_targets(g: OrderedGraph, tgt: SliceTargets) -> None:
         raise GraphError(f"target edge count {tgt.h} outside 0..{g.m - 1}")
 
 
-def _monotone_homs(g: OrderedGraph, verts: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    # all ordered homomorphisms from g into the induced subgraph on verts,
-    # image written in original vertex indices
-    def extend(prefix: list[int], start: int) -> Iterator[tuple[int, ...]]:
-        i = len(prefix)
-        if i == g.n:
-            yield tuple(prefix)
-            return
-        for pos in range(start, len(verts)):
-            t = verts[pos]
-            ok = True
-            m = g.adj[i] & ((1 << i) - 1)
-            while m:
-                lsb = m & -m
-                u = lsb.bit_length() - 1
-                if not g.has_edge(prefix[u], t) or prefix[u] == t:
-                    ok = False
-                    break
-                m ^= lsb
-            if ok:
-                prefix.append(t)
-                yield from extend(prefix, pos)
-                prefix.pop()
-
-    return extend([], 0)
-
-
 def solve_slice(
     g: OrderedGraph, tgt: SliceTargets, strict_hom: bool = False
 ) -> tuple[tuple[int, ...], frozenset[tuple[int, int]], MonotoneMap] | None:
     """A proper subgraph H on exactly tgt.g vertices and tgt.h edges that g
     maps onto, or None.
 
-    Vertex subsets are enumerated lexicographically.  In the default mode a
-    subset X qualifies when a retraction r: g -> g[X] exists and
-    |r(E)| <= h <= |E(g[X])|; H is then r(E) padded with further induced
-    edges up to h.  Subsets whose prefix has no retraction are skipped
-    without a test (see _prefix_retracts).  With strict_hom the retraction
-    requirement is dropped and all ordered homomorphisms into g[X] are tried
-    on every subset, which is exploratory and much slower.
+    Vertex sets X are tried in lexicographic order.  In the default mode X
+    qualifies when |E(g[X])| = h and a retraction r: g -> g[X] exists; r fixes
+    X and maps into g[X], so r(E) = E(g[X]) and H is g[X] itself.  Sets whose
+    prefix has no retraction are skipped without a test (see
+    _prefix_retracts).
+
+    With strict_hom X qualifies when |E(g[X])| >= h and some ordered
+    homomorphism f: g -> g[X] has |f(E)| <= h.  Such an f exists iff the core
+    C of g has at most h edges and maps into g[X]: f(g) is homomorphically
+    equivalent to g, so it contains a copy of C, and conversely f = phi . rho
+    has |f(E)| <= |E(C)| for rho the retraction onto C and phi: C -> g[X].
+    The witness is that composition, with rho from compute_core and phi the
+    lex-first homomorphism C -> g[X]; H is f(E) padded with the edges of
+    g[X] in sorted order up to h.
     """
     _validate_targets(g, tgt)
-    prefix_ok = (lambda x: True) if strict_hom else partial(_prefix_retracts, g)
-    for x in _lex_subsets(g.n, tgt.g, prefix_ok):
+    if strict_hom:
+        return _solve_slice_strict(g, tgt)
+    for x in _lex_subsets(g.n, tgt.g, partial(_prefix_retracts, g)):
         xset = set(x)
-        induced_edges = sorted(
-            e for e in g.edges if e[0] in xset and e[1] in xset
-        )
-        if len(induced_edges) < tgt.h:
+        edges = frozenset(e for e in g.edges if e[0] in xset and e[1] in xset)
+        if len(edges) != tgt.h:
             continue
-        if strict_hom:
-            r = None
-            for image in _monotone_homs(g, x):
-                cand = MonotoneMap(image)
-                img_edges = {
-                    (min(cand(u), cand(v)), max(cand(u), cand(v)))
-                    for u, v in g.edges
-                }
-                if len(img_edges) <= tgt.h:
-                    r = cand
-                    break
-            if r is None:
-                continue
-        else:
-            r = decide_retraction(g, x)
-            if r is None:
-                continue
-        img_edges = {
-            (min(r(u), r(v)), max(r(u), r(v))) for u, v in g.edges
-        }
-        if not len(img_edges) <= tgt.h:
+        r = decide_retraction(g, x)
+        if r is not None:
+            return x, edges, r
+    return None
+
+
+def _solve_slice_strict(
+    g: OrderedGraph, tgt: SliceTargets
+) -> tuple[tuple[int, ...], frozenset[tuple[int, int]], MonotoneMap] | None:
+    core = compute_core(g)
+    if core.core.m > tgt.h:
+        return None
+    pos = {v: i for i, v in enumerate(core.embedding)}
+    for x in combinations(range(g.n), tgt.g):
+        sub, _ = g.induced(x)
+        if sub.m < tgt.h:
             continue
-        h_edges = set(img_edges)
-        for e in induced_edges:
+        phi = find_ordered_homomorphism(core.core, sub)
+        if phi is None:
+            continue
+        f = MonotoneMap(tuple(x[phi(pos[t])] for t in core.retraction.image))
+        h_edges = {(f(u), f(v)) for u, v in g.edges}
+        for u, v in sorted(sub.edges):
             if len(h_edges) == tgt.h:
                 break
-            h_edges.add(e)
-        return x, frozenset(h_edges), r
+            h_edges.add((x[u], x[v]))
+        return x, frozenset(h_edges), f
     return None
 
 

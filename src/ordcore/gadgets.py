@@ -17,7 +17,7 @@ audits can be replayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import Iterable
 
@@ -282,31 +282,26 @@ def slice_gadget(
     for t in range(3 * c):
         base = 3 * t
         var_edges |= {(base, base + 2), (base + 1, base + 3), (base + 2, base + 3)}
-    lay_second = lambda t: 3 * t + 1
-    lay_third = lambda t: 3 * t + 2
+    # positions only depend on the clauses; the edge families are filled in below
+    lay = SliceGadgetLayout(phi.clauses, frozenset(), frozenset(), frozenset())
     clause_edges = set()
     for ci in range(c):
-        gs = (3 * ci, 3 * ci + 1, 3 * ci + 2)
-        for ga, gb in combinations(gs, 2):
-            for ua in (lay_second(ga), lay_third(ga)):
-                for ub in (lay_second(gb), lay_third(gb)):
+        for ga, gb in combinations(range(3 * ci, 3 * ci + 3), 2):
+            for ua in (lay.second(ga), lay.third(ga)):
+                for ub in (lay.second(gb), lay.third(gb)):
                     clause_edges.add((ua, ub))
     external_edges = set()
     for var in range(phi.var_count):
-        occ = []
-        for ci, cl in enumerate(phi.clauses):
-            for slot, v in enumerate(cl):
-                if v == var:
-                    occ.append(3 * ci + slot)
-        for sel in (lay_second, lay_third):
+        occ = lay.gadgets_of_variable(var)
+        for sel in (lay.second, lay.third):
             ring = [sel(t) for t in occ]
             for a, b in zip(ring, ring[1:] + ring[:1]):
                 external_edges.add((min(a, b), max(a, b)))
-    lay = SliceGadgetLayout(
-        phi.clauses,
-        frozenset(var_edges),
-        frozenset(clause_edges),
-        frozenset(external_edges),
+    lay = replace(
+        lay,
+        variable_edges=frozenset(var_edges),
+        clause_edges=frozenset(clause_edges),
+        external_edges=frozenset(external_edges),
     )
     g = new_graph(n, var_edges | clause_edges | external_edges)
     m = g.m

@@ -25,6 +25,7 @@ for one edge are forbidden the encoder stops with EarlyUnsat.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 from . import twosat
@@ -120,18 +121,14 @@ def decompose(
 
 
 def encode(
-    g: OrderedGraph,
-    x: Iterable[int],
-    adjacent_pairs_only: bool = False,
-    upto: int | None = None,
+    g: OrderedGraph, x: Iterable[int], upto: int | None = None
 ) -> RetractionEncoding | EarlyUnsat:
     """Build the 2-SAT instance whose solutions are the retractions G -> G[X].
 
-    adjacent_pairs_only emits the within-segment ordering clauses only for
-    consecutive pairs; equivalent by transitivity, kept off by default so the
-    emitted clause count is comparable against clause_bound().  upto replaces
-    G by its induced subgraph on the first upto vertices, so the instance
-    decides a retraction of that prefix onto X.
+    The within-segment ordering clauses cover every pair, not only
+    consecutive ones, so the emitted clause count is comparable against
+    clause_bound().  upto replaces G by its induced subgraph on the first
+    upto vertices, so the instance decides a retraction of that prefix onto X.
     """
     d = decompose(g, x, upto)
     var_of: dict[int, int] = {}
@@ -149,15 +146,7 @@ def encode(
 
     # ordering within each segment (families 1 and 2 collapse to one clause)
     for seg in d.segments:
-        if adjacent_pairs_only:
-            pairs = [(seg[i], seg[i + 1]) for i in range(len(seg) - 1)]
-        else:
-            pairs = [
-                (seg[i], seg[j])
-                for i in range(len(seg))
-                for j in range(i + 1, len(seg))
-            ]
-        for a, b in pairs:
+        for a, b in combinations(seg, 2):
             clauses.append(((var_of[b], True), (var_of[a], False)))
 
     # edge constraints
@@ -222,16 +211,13 @@ def decode(enc: RetractionEncoding, a: twosat.Assignment) -> MonotoneMap:
 
 
 def decide_retraction(
-    g: OrderedGraph,
-    x: Iterable[int],
-    adjacent_pairs_only: bool = False,
-    upto: int | None = None,
+    g: OrderedGraph, x: Iterable[int], upto: int | None = None
 ) -> MonotoneMap | None:
     """The retraction G -> G[X] decoded from the 2-SAT solution, or None.
 
     With upto, G is cut to its first upto vertices and the map has that length.
     """
-    enc = encode(g, x, adjacent_pairs_only, upto)
+    enc = encode(g, x, upto)
     if isinstance(enc, EarlyUnsat):
         return None
     a = twosat.solve(enc.instance)

@@ -10,6 +10,7 @@ obvious.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 
 from ordcore import decide_retraction
@@ -105,6 +106,36 @@ def brute_slice(g, tgt):
                 break
             h_edges.add(e)
         return x, frozenset(h_edges), r
+    return None
+
+
+@cache
+def fewest_image_edges(g, x):
+    """(count, map) for the first monotone map g -> g[X] with the fewest
+    image edges among the homomorphisms, trying every map; None when there
+    is no homomorphism.  Cached, since it does not depend on the targets."""
+    xset = set(x)
+    induced = [e for e in g.edges if e[0] in xset and e[1] in xset]
+    best = None
+    for pos in monotone_maps(g.n, len(x)):
+        f = tuple(x[i] for i in pos)
+        count = len({(f[u], f[v]) for u, v in g.edges})
+        if (best is None or count < best[0]) and is_hom(g.edges, induced, f):
+            best = count, f
+    return best
+
+
+def brute_slice_strict(g, tgt):
+    """First (X, map) of the strict slice rule: the first tgt.g-subset X in
+    lexicographic order with |E(G[X])| >= h into which some monotone map
+    sends g homomorphically with at most h image edges."""
+    for x in combinations(range(g.n), tgt.g):
+        xset = set(x)
+        if sum(e[0] in xset and e[1] in xset for e in g.edges) < tgt.h:
+            continue
+        best = fewest_image_edges(g, x)
+        if best is not None and best[0] <= tgt.h:
+            return x, best[1]
     return None
 
 

@@ -139,6 +139,22 @@ class TestSliceSub:
         assert code == 1
         assert out == "NONE\n"
 
+    def test_slice_strict_hom_yes(self, files, capsys):
+        code, out, _ = run(
+            capsys, "slice", files("w.og", WEDGE), "--g", "2", "--h", "1",
+            "--strict-hom",
+        )
+        assert code == 0
+        assert out == "keep: 0 2\nedges: 0-2\nmap: f(0)=0 f(1)=0 f(2)=2\n"
+
+    def test_slice_strict_hom_no(self, files, capsys):
+        code, out, _ = run(
+            capsys, "slice", files("p3.og", P3), "--g", "2", "--h", "1",
+            "--strict-hom",
+        )
+        assert code == 1
+        assert out == "NONE\n"
+
     def test_slice_bad_targets(self, files, capsys):
         code, _, err = run(
             capsys, "slice", files("w.og", WEDGE), "--g", "3", "--h", "1"
@@ -206,6 +222,42 @@ class TestGenerators:
         assert out.splitlines()[0] == "# slice targets: g=25 h=63"
         g = parse_graph(out)
         assert g.n == 28 and g.m == 81
+
+    def test_gen_slice_layout(self, files, capsys, tmp_path):
+        side = tmp_path / "lay.txt"
+        code, out, _ = run(
+            capsys, "gen-gadget", "slice", files("u.x13", UNSAT4),
+            "--layout", str(side),
+        )
+        assert code == 0
+        variable = " ".join(
+            f"{3 * t}-{3 * t + 2} {3 * t + 1}-{3 * t + 3} {3 * t + 2}-{3 * t + 3}"
+            for t in range(12)
+        )
+        clause = " ".join(
+            f"{a + 9 * ci}-{b + 9 * ci}"
+            for ci in range(4)
+            for a, b in [
+                (1, 4), (1, 5), (1, 7), (1, 8), (2, 4), (2, 5), (2, 7), (2, 8),
+                (4, 7), (4, 8), (5, 7), (5, 8),
+            ]
+        )
+        external = (
+            "1-10 1-19 2-11 2-20 4-13 4-28 5-14 5-29 7-22 7-31 8-23 8-32 "
+            "10-19 11-20 13-28 14-29 16-25 16-34 17-26 17-35 22-31 23-32 "
+            "25-34 26-35"
+        )
+        assert side.read_text() == (
+            f"layout slice\ngadgets 12\nvariable {variable}\n"
+            f"clause {clause}\nexternal {external}\n"
+        )
+        edges = [
+            tuple(map(int, e.split("-")))
+            for e in f"{variable} {clause} {external}".split()
+        ]
+        assert out == "# slice targets: g=33 h=84\n" + serialize_graph(
+            new_graph(37, edges)
+        )
 
     def test_gen_clique(self, files, capsys, tmp_path):
         side = tmp_path / "lay.txt"

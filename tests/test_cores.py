@@ -253,6 +253,45 @@ class TestSlice:
                         assert solve_slice(g, tgt, strict_hom=True) is not None
 
 
+class TestStrictSlice:
+    """slice with strict_hom against the rule written out with itertools."""
+
+    def check_witness(self, g, tgt, res):
+        x, edges, f = res
+        xset = set(x)
+        induced = {e for e in g.edges if e[0] in xset and e[1] in xset}
+        assert len(x) == tgt.g
+        assert set(f.image) <= xset
+        assert oracles.is_hom(g.edges, induced, f.image)
+        image = {(f(u), f(v)) for u, v in g.edges}
+        assert image <= edges
+        assert len(edges) == tgt.h
+        assert edges <= induced
+        # padding: the smallest further induced edges
+        assert edges - image == set(sorted(induced - image)[: tgt.h - len(image)])
+
+    def test_agrees_with_oracle(self):
+        for g in small_graphs(5):
+            for gt in range(1, g.n):
+                for ht in range(0, g.m):
+                    tgt = SliceTargets(gt, ht)
+                    want = oracles.brute_slice_strict(g, tgt)
+                    got = solve_slice(g, tgt, strict_hom=True)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert got[0] == want[0]
+                        self.check_witness(g, tgt, got)
+
+    def test_beyond_recursion_limit(self):
+        n = sys.getrecursionlimit() + 10
+        g = new_graph(n, [(0, n - 2), (0, n - 1)])
+        tgt = SliceTargets(n - 1, 1)
+        res = solve_slice(g, tgt, strict_hom=True)
+        assert res[0] == tuple(range(n - 1))
+        self.check_witness(g, tgt, res)
+        assert solve_slice(g, SliceTargets(n - 1, 0), strict_hom=True) is None
+
+
 class TestPrunedSearch:
     """The prefix-pruned subset search against the plain subset loops."""
 

@@ -148,17 +148,6 @@ class TestDecide:
         want = oracles.retract(g, x) is not None
         assert (decide_retraction(g, x) is not None) == want
 
-    @settings(max_examples=200, deadline=None)
-    @given(graph_and_x())
-    def test_adjacent_pairs_only_equivalent(self, gx):
-        g, x = gx
-        full = decide_retraction(g, x)
-        thin = decide_retraction(g, x, adjacent_pairs_only=True)
-        assert (full is None) == (thin is None)
-        if thin is not None:
-            assert all(thin(v) == v for v in x)
-            assert oracles.is_hom(g.edges, g.edges, thin.image)
-
 
 class TestVertexRange:
     @settings(max_examples=100, deadline=None)
