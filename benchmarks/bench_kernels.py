@@ -1,8 +1,11 @@
-"""Compare the compiled search kernels against the pure Python fallback.
+"""Time the search kernels on full-exhaustion proofs.
 
-Every workload is a full exhaustion proof (the answer is "no such map"),
-so both backends walk the same search tree.  Each case is repeated until
-it has consumed a small time budget and the fastest repetition is kept.
+Every workload must prove that no map exists (the script fails otherwise),
+so each run searches its whole pruned tree.  The graph cases time
+`find_hom`, which has only the pure Python kernel; the hypergraph case
+times `find_hyperhom` on the pure kernel and, when the extension is built,
+on the compiled one.  Each case is repeated until it has consumed a small
+time budget and the fastest repetition is kept.
 
 Run from the repository root:
 
@@ -39,10 +42,7 @@ def graph_case(name, g, min_image=0):
             g.n, g.adj, g.n, g.adj, forbid_identity=True, min_image=min_image
         )
 
-    def compiled():
-        return _ckernels.find_hom(g.n, g.adj, g.n, g.adj, None, True, min_image, False)
-
-    return name, pure, compiled
+    return name, pure, None
 
 
 def hyper_case(name, hg):
@@ -57,13 +57,14 @@ def hyper_case(name, hg):
     def compiled():
         return _ckernels.find_hyperhom(hg.n, edges, hg.n, masks, None, True, None)
 
-    return name, pure, compiled
+    return name, pure, compiled if _ckernels is not None else None
 
 
 def main():
     cases = [
         graph_case("mc(6) image-bound sweep, n=12", mc(6).graph, min_image=3),
         graph_case("mc(7) image-bound sweep, n=14", mc(7).graph, min_image=3),
+        graph_case("mc(8) image-bound sweep, n=16", mc(8).graph, min_image=3),
         graph_case(
             "clique gadget core proof, n=25",
             clique_gadget(new_partitioned(2, 4, frozenset()))[0],
@@ -79,19 +80,13 @@ def main():
     if _ckernels is None:
         print("compiled kernels unavailable; timing the pure backend only")
     width = max(len(name) for name, _, _ in cases)
-    header = f"{'workload':<{width}}  {'pure':>10}  {'compiled':>10}  {'speedup':>8}"
+    header = f"{'workload':<{width}}  {'pure':>10}  {'compiled':>10}"
     print(header)
     print("-" * len(header))
     for name, pure, compiled in cases:
         tp, _ = best_of(pure)
-        if _ckernels is None:
-            print(f"{name:<{width}}  {tp * 1000:>8.1f}ms")
-            continue
-        tc, _ = best_of(compiled)
-        print(
-            f"{name:<{width}}  {tp * 1000:>8.1f}ms  {tc * 1000:>8.1f}ms"
-            f"  {tp / tc:>7.1f}x"
-        )
+        tc = f"{best_of(compiled)[0] * 1000:>8.1f}ms" if compiled is not None else f"{'-':>10}"
+        print(f"{name:<{width}}  {tp * 1000:>8.1f}ms  {tc}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
-"""Build script for the optional compiled search kernels.
+"""Build script for the optional compiled hypergraph search kernel.
 
 The package is fully functional without the extension; `ordcore._kernels`
 falls back to the pure Python implementation when the compiled module is
-missing or when a graph is too large for 64-bit adjacency masks.
+missing or when a hypergraph is too large for 64-bit masks.
 """
 
 import sys

@@ -1,8 +1,9 @@
 """Backend selection for the backtracking search kernels.
 
-The compiled extension is used when it imported successfully, the instance
-fits in 64-bit masks, and ORDCORE_PURE is unset.  The pure Python kernels
-accept graphs of any size.
+`find_hom` always runs the pure Python kernel, which prunes with forward
+checking.  `find_hyperhom` uses the compiled extension when it imported
+successfully, the instance fits in 64-bit masks, and ORDCORE_PURE is unset.
+The pure Python kernels accept graphs of any size.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ def find_hom(
     min_image: int = 0,
     descending: bool = False,
 ) -> list[int] | None:
-    if _compiled is not None and n_g <= 64 and n_h <= 64:
-        return _compiled.find_hom(
-            n_g, adj_g, n_h, adj_h, fixed, forbid_identity, min_image, descending
-        )
     return _pykernels.find_hom(
         n_g, adj_g, n_h, adj_h, fixed, forbid_identity, min_image, descending
     )

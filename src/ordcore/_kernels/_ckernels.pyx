@@ -1,14 +1,10 @@
 # cython: boundscheck=False, wraparound=False, nonecheck=False, cdivision=True
-# Compiled twin of _pykernels: same algorithms over C arrays and 64-bit
-# adjacency masks.  The dispatcher only routes instances with at most 64
+# Compiled twin of _pykernels.find_hyperhom: the same algorithm over C arrays
+# and 64-bit masks.  The dispatcher only routes instances with at most 64
 # vertices here, so all per-depth state lives in fixed stack arrays.
 
 from libc.stdlib cimport malloc, free
 from libc.stdint cimport uint64_t
-
-cdef extern from *:
-    int __builtin_ctzll(unsigned long long) nogil
-
 
 cdef bint _contains(const uint64_t* arr, Py_ssize_t n, uint64_t key) noexcept nogil:
     cdef Py_ssize_t lo = 0, hi = n - 1, mid
@@ -21,68 +17,6 @@ cdef bint _contains(const uint64_t* arr, Py_ssize_t n, uint64_t key) noexcept no
         else:
             hi = mid - 1
     return False
-
-
-def find_hom(int n_g, object adj_g, int n_h, object adj_h, object fixed=None,
-             bint forbid_identity=False, int min_image=0, bint descending=False):
-    cdef uint64_t ag[64]
-    cdef uint64_t ah[64]
-    cdef int fx[64]
-    cdef int f[64]
-    cdef int cand[64]
-    cdef int dist[64]
-    cdef bint idp[64]
-    cdef int i, t, lo, nxt, nd, step, last, u
-    cdef bint ok, placed
-    cdef uint64_t m, ahm
-
-    if n_g < 1 or n_g > 64 or n_h < 1 or n_h > 64:
-        raise ValueError("compiled kernel handles 1..64 vertices")
-    for i in range(n_g):
-        ag[i] = <uint64_t> adj_g[i]
-        fx[i] = -1 if fixed is None else <int> fixed[i]
-    for i in range(n_h):
-        ah[i] = <uint64_t> adj_h[i]
-
-    step = -1 if descending else 1
-    last = n_g - 1
-    cand[0] = fx[0] if fx[0] >= 0 else (n_h - 1 if descending else 0)
-    i = 0
-    while i >= 0:
-        lo = f[i - 1] if i > 0 else 0
-        t = cand[i]
-        placed = False
-        while lo <= t < n_h:
-            nxt = lo - 1 if fx[i] >= 0 else t + step
-            cand[i] = nxt
-            nd = 1 if i == 0 else dist[i - 1] + (1 if t > f[i - 1] else 0)
-            ok = nd + (last - i) >= min_image
-            if ok and forbid_identity and i == last and t == i:
-                ok = not (i == 0 or idp[i - 1])
-            if ok:
-                ahm = ah[t]
-                m = ag[i] & ((<uint64_t> 1 << i) - 1)
-                while m:
-                    u = __builtin_ctzll(m)
-                    if not (ahm >> f[u]) & 1:
-                        ok = False
-                        break
-                    m &= m - 1
-            if ok:
-                f[i] = t
-                dist[i] = nd
-                idp[i] = (i == 0 or idp[i - 1]) and t == i
-                placed = True
-                break
-            t = nxt
-        if not placed:
-            i -= 1
-            continue
-        if i == last:
-            return [f[u] for u in range(n_g)]
-        i += 1
-        cand[i] = fx[i] if fx[i] >= 0 else (n_h - 1 if descending else f[i - 1])
-    return None
 
 
 def find_hyperhom(int n_g, object edges_g, int n_h, object edge_masks_h,

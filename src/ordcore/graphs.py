@@ -229,8 +229,8 @@ def find_ordered_homomorphism(
     """Search for an ordered homomorphism g -> h.
 
     Returns the homomorphism with lexicographically smallest image sequence,
-    or None.  Backtracking with forward checking on edges into the assigned
-    prefix; exponential in the worst case, intended for desk-scale inputs.
+    or None.  Backtracking with forward checking over bitmask domains;
+    exponential in the worst case.
     """
     from . import _kernels
 

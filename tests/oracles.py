@@ -38,6 +38,41 @@ def find_hom(g, h):
     return None
 
 
+@cache
+def monotone_homs_masks(n_g, adj_g, n_h, adj_h):
+    """Every monotone homomorphism between two graphs given as tuples of
+    adjacency bitmasks, in lexicographic order.  Cached, since the options
+    of `find_hom_masks` only filter this list."""
+    edges_g = [(u, v) for u in range(n_g) for v in range(u + 1, n_g) if adj_g[u] >> v & 1]
+    edges_h = {(a, b) for a in range(n_h) for b in range(a + 1, n_h) if adj_h[a] >> b & 1}
+    # f is monotone, so each edge u < v must land on an edge f[u] < f[v]
+    return [
+        f for f in monotone_maps(n_g, n_h)
+        if all((f[u], f[v]) in edges_h for u, v in edges_g)
+    ]
+
+
+def find_hom_masks(
+    n_g, adj_g, n_h, adj_h, fixed=None, forbid_identity=False, min_image=0,
+    descending=False,
+):
+    """The contract of the kernel `find_hom`, by enumeration: the first
+    monotone homomorphism [n_g] -> [n_h] in lexicographic order (the last
+    with descending) that takes the pinned value wherever fixed[i] >= 0, is
+    not the identity tuple under forbid_identity, and has at least min_image
+    distinct values."""
+    homs = monotone_homs_masks(n_g, tuple(adj_g), n_h, tuple(adj_h))
+    for f in reversed(homs) if descending else homs:
+        if fixed is not None and any(p >= 0 and f[i] != p for i, p in enumerate(fixed)):
+            continue
+        if forbid_identity and f == tuple(range(n_g)):
+            continue
+        if len(set(f)) < min_image:
+            continue
+        return list(f)
+    return None
+
+
 def retraction_maps(g, x):
     """All retractions of g onto the subgraph induced by x."""
     xset = set(x)

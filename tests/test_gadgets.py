@@ -270,6 +270,32 @@ class TestCliqueGadget:
         assert extract_clique(lay, v.retraction) == (0, 0)
         assert brute_force_multicolored_clique(f) == (0, 0)
 
+    def test_k3_planted_clique(self):
+        # a triangle on (0,1), (1,2), (2,3), plus three edges in no triangle
+        f = new_partitioned(3, 4, [
+            ((0, 1), (1, 2)), ((0, 1), (2, 3)), ((1, 2), (2, 3)),
+            ((0, 0), (1, 0)), ((1, 3), (2, 0)), ((0, 3), (2, 2)),
+        ])
+        g, lay = clique_gadget(f)
+        assert g.n == 43
+        v = decide_core_chi(g)
+        assert isinstance(v, CoreHasChiVertices)
+        assert v.chi == 4 * 3 + 1
+        assert len(v.vertices) == v.chi
+        choice = extract_clique(lay, v.retraction)
+        assert f.is_multicolored_clique(choice)
+        assert brute_force_multicolored_clique(f) is not None
+
+    def test_k3_no_clique(self):
+        f = new_partitioned(3, 4, [
+            ((0, 0), (1, 0)), ((1, 0), (2, 0)), ((0, 0), (2, 1)),
+            ((0, 2), (1, 3)), ((1, 3), (2, 3)),
+        ])
+        g, _ = clique_gadget(f)
+        assert g.n == 43
+        assert isinstance(decide_core_chi(g), InstanceIsCore)
+        assert brute_force_multicolored_clique(f) is None
+
     def test_extract_rejects_identity(self):
         g, lay = clique_gadget(complete_between_parts(2, 4))
         with pytest.raises(GadgetError):

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +9,22 @@ from hypothesis import strategies as st
 
 from ordcore import _kernels
 from ordcore._kernels import _pykernels
-from ordcore import is_ordered_homomorphism, MonotoneMap, new_graph, path_graph
-
-compiled = pytest.importorskip(
-    "ordcore._kernels._ckernels", reason="compiled kernels not built"
+from ordcore import (
+    find_ordered_homomorphism,
+    is_ordered_homomorphism,
+    MonotoneMap,
+    new_graph,
+    path_graph,
 )
+
+import oracles
+
+try:
+    from ordcore._kernels import _ckernels as compiled
+except ImportError:
+    compiled = None
+
+needs_compiled = pytest.mark.skipif(compiled is None, reason="compiled kernels not built")
 
 
 def adj_masks(n, edges):
@@ -73,19 +84,35 @@ def hyperhom_case(draw):
     return n, edges_g, masks_h, fixed, forbid, allowed
 
 
-class TestBackendParity:
-    @settings(max_examples=400, deadline=None)
-    @given(hom_case())
-    def test_find_hom_identical(self, case):
-        n_g, adj_g, n_h, adj_h, fixed, forbid, min_image, descending = case
-        pure = _pykernels.find_hom(
-            n_g, adj_g, n_h, adj_h, fixed, forbid, min_image, descending
-        )
-        fast = compiled.find_hom(
-            n_g, adj_g, n_h, adj_h, fixed, forbid, min_image, descending
-        )
-        assert pure == fast
+class TestFindHomOracle:
+    def test_exhaustive_small(self):
+        # every pair of graphs on at most 4 vertices, under every combination
+        # of a pin, forbid_identity, an image bound and descending
+        graphs = [
+            (n, adj_masks(n, edges)) for n in range(1, 5) for edges in oracles.all_graphs(n)
+        ]
+        options = list(product((False, True), (False, True), (0, 3), (False, True)))
+        for (n_g, adj_g), (n_h, adj_h) in product(graphs, graphs):
+            for pin, forbid, min_image, descending in options:
+                fixed = None
+                if pin:
+                    fixed = [-1] * n_g
+                    fixed[n_g // 2] = n_h // 2
+                args = (n_g, adj_g, n_h, adj_h, fixed, forbid, min_image, descending)
+                assert _pykernels.find_hom(*args) == oracles.find_hom_masks(*args), args
 
+    @settings(max_examples=200, deadline=None)
+    @given(hom_case())
+    def test_random(self, case):
+        assert _pykernels.find_hom(*case) == oracles.find_hom_masks(*case)
+
+    def test_large_sparse_identity(self):
+        g = path_graph(2000)
+        assert find_ordered_homomorphism(g, g) == MonotoneMap(tuple(range(2000)))
+
+
+class TestBackendParity:
+    @needs_compiled
     @settings(max_examples=400, deadline=None)
     @given(hyperhom_case())
     def test_find_hyperhom_identical(self, case):
@@ -105,8 +132,8 @@ class TestDispatch:
         assert _kernels.backend() in ("compiled", "pure")
 
     def test_large_graph_uses_pure_path(self):
-        # 65 vertices exceeds the 64-bit mask budget; the dispatcher must
-        # fall back to the pure kernel and still return a correct map
+        # 65 vertices exceeds any 64-bit mask budget; the dispatcher must
+        # run the pure kernel and still return a correct map
         g = path_graph(65)
         res = _kernels.find_hom(g.n, g.adj, g.n, g.adj)
         assert res == list(range(65))
@@ -129,6 +156,7 @@ class TestDispatch:
         )
         assert out.stdout.strip() == "pure"
 
+    @needs_compiled
     def test_default_env_prefers_compiled(self):
         # the parent environment keeps PYTHONPATH, so an uninstalled
         # checkout imports the same package as this process
