@@ -124,33 +124,31 @@ def _cmd_core_chi(args: argparse.Namespace) -> int:
     return 1
 
 
+def _print_subgraph(
+    res: tuple[tuple[int, ...], frozenset[tuple[int, int]], MonotoneMap] | None,
+) -> int:
+    if res is None:
+        print("NONE")
+        return 1
+    x, edges, r = res
+    print(f"keep: {' '.join(map(str, x))}")
+    print(f"edges: {' '.join(f'{u}-{v}' for u, v in sorted(edges))}")
+    print(_map_line(r))
+    return 0
+
+
 def _cmd_slice(args: argparse.Namespace) -> int:
     g = formats.parse_graph(_read(args.graph))
     res = cores.solve_slice(
         g, cores.SliceTargets(args.g, args.h), strict_hom=args.strict_hom
     )
-    if res is None:
-        print("NONE")
-        return 1
-    x, edges, r = res
-    print(f"keep: {' '.join(map(str, x))}")
-    print(f"edges: {' '.join(f'{u}-{v}' for u, v in sorted(edges))}")
-    print(_map_line(r))
-    return 0
+    return _print_subgraph(res)
 
 
 def _cmd_sub(args: argparse.Namespace) -> int:
     g = formats.parse_graph(_read(args.graph))
     dt = cores.DoubleTuple(_parse_vertices(args.t), _parse_vertices(args.u))
-    res = cores.solve_sub(g, dt)
-    if res is None:
-        print("NONE")
-        return 1
-    x, edges, r = res
-    print(f"keep: {' '.join(map(str, x))}")
-    print(f"edges: {' '.join(f'{u}-{v}' for u, v in sorted(edges))}")
-    print(_map_line(r))
-    return 0
+    return _print_subgraph(cores.solve_sub(g, dt))
 
 
 def _cmd_gen_matching(args: argparse.Namespace) -> int:

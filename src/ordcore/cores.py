@@ -13,7 +13,7 @@ subgraph on the surviving vertex set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
@@ -112,8 +112,27 @@ def _prefix_retracts(g: OrderedGraph, x: Sequence[int]) -> bool:
     Any retraction of G onto a vertex set whose j smallest elements are x
     restricts to such a map: it is monotone and fixes x_j, so 0..x_j lands in
     {x_1..x_j}.  A failure therefore rules out every set with this prefix.
+    Every search runs at one size, where _lex_subsets asks about each prefix
+    at most once, so verdicts are not kept.
     """
     return decide_retraction(g, x, upto=x[-1] + 1) is not None
+
+
+def _first_retract(
+    g: OrderedGraph, size: int, m: int
+) -> tuple[tuple[int, ...], frozenset[tuple[int, int]], MonotoneMap] | None:
+    """The lex-first X of `size` vertices with |E(g[X])| = m that g retracts
+    onto, as (X, E(g[X]), r), or None.  Sets whose prefix fails
+    _prefix_retracts are skipped; the cheap edge count goes first."""
+    for x in _lex_subsets(g.n, size, partial(_prefix_retracts, g)):
+        xset = set(x)
+        edges = frozenset(e for e in g.edges if e[0] in xset and e[1] in xset)
+        if len(edges) != m:
+            continue
+        r = decide_retraction(g, x)
+        if r is not None:
+            return x, edges, r
+    return None
 
 
 def decide_core_with_k_vertices(
@@ -121,29 +140,22 @@ def decide_core_with_k_vertices(
 ) -> tuple[tuple[int, ...], MonotoneMap] | None:
     """First subset of at most k vertices admitting a retraction, with the map.
 
-    k is a size budget: subsets are tried smallest size first, lexicographic
-    within a size, running the polynomial retraction decision on each.  A
-    proper retract exists iff one exists on at most n-1 vertices (the core
-    itself qualifies), so a budget of n-1 succeeds exactly on non-cores;
-    exact-size search lacks that property because retract sizes can skip
-    values between the core size and n.  The exponential part is only the
-    subset enumeration, which skips the subsets whose prefix has no
-    retraction (see _prefix_retracts); prefix verdicts are shared between
-    sizes.
+    k is a size budget; the answer is the first retract in size-then-lex
+    order.  The core C is the smallest retract, so no retract has fewer than
+    |C| vertices.  A retract X on exactly |C| vertices induces C itself: g[X]
+    is homomorphically equivalent to g, so its core is C, an induced subgraph
+    with as many vertices as g[X].  So C is computed first; the answer is None
+    when |C| > k and otherwise the lex-first retract on |C| vertices with
+    |E(C)| induced edges, which exists because the core's embedding is one.
+    A budget of n-1 therefore succeeds exactly on non-cores.
     """
     if not 1 <= k < g.n:
         raise GraphError(f"k={k} outside 1..{g.n - 1}")
-    prefix_ok = cache(partial(_prefix_retracts, g))
-    for size in range(1, k + 1):
-        for x in _lex_subsets(g.n, size, prefix_ok):
-            # x's own prefix verdict is wanted at the next size anyway; when
-            # x ends at n-1 it would repeat the full test
-            if x[-1] < g.n - 1 and not prefix_ok(x):
-                continue
-            r = decide_retraction(g, x)
-            if r is not None:
-                return x, r
-    return None
+    core = compute_core(g).core
+    if core.n > k:
+        return None
+    x, _, r = _first_retract(g, core.n, core.m)
+    return x, r
 
 
 @dataclass(frozen=True)
@@ -215,9 +227,8 @@ def solve_slice(
 
     Vertex sets X are tried in lexicographic order.  In the default mode X
     qualifies when |E(g[X])| = h and a retraction r: g -> g[X] exists; r fixes
-    X and maps into g[X], so r(E) = E(g[X]) and H is g[X] itself.  Sets whose
-    prefix has no retraction are skipped without a test (see
-    _prefix_retracts).
+    X and maps into g[X], so r(E) = E(g[X]) and H is g[X] itself (see
+    _first_retract).
 
     With strict_hom X qualifies when |E(g[X])| >= h and some ordered
     homomorphism f: g -> g[X] has |f(E)| <= h.  Such an f exists iff the core
@@ -231,15 +242,7 @@ def solve_slice(
     _validate_targets(g, tgt)
     if strict_hom:
         return _solve_slice_strict(g, tgt)
-    for x in _lex_subsets(g.n, tgt.g, partial(_prefix_retracts, g)):
-        xset = set(x)
-        edges = frozenset(e for e in g.edges if e[0] in xset and e[1] in xset)
-        if len(edges) != tgt.h:
-            continue
-        r = decide_retraction(g, x)
-        if r is not None:
-            return x, edges, r
-    return None
+    return _first_retract(g, tgt.g, tgt.h)
 
 
 def _solve_slice_strict(

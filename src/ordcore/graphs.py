@@ -38,10 +38,10 @@ class OrderedGraph:
         adj = [0] * self.n
         for e in self.edges:
             u, v = e
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge {e} has an endpoint outside 0..{self.n - 1}")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
+            if not (0 <= u < self.n and 0 <= v < self.n):
+                raise GraphError(f"edge {e} has an endpoint outside 0..{self.n - 1}")
             if u > v:
                 raise GraphError(f"edge {e} not normalized")
             adj[u] |= 1 << v
@@ -81,20 +81,12 @@ class OrderedGraph:
 
 
 def new_graph(n: int, edges: Iterable[Sequence[int]]) -> OrderedGraph:
-    """Validate and build an ordered graph, deduplicating edges.
+    """Build an ordered graph, normalizing and deduplicating edges.
 
     Raises GraphError on out-of-range endpoints or self-loops.
     """
-    norm = set()
-    for e in edges:
-        u, v = e
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        if u > v:
-            u, v = v, u
-        if not (0 <= u and v < n):
-            raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-        norm.add((u, v))
+    # copying a set gives a tighter table than growing from an iterator
+    norm = {(u, v) if u < v else (v, u) for u, v in edges}
     return OrderedGraph(n, frozenset(norm))
 
 

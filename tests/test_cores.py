@@ -165,6 +165,20 @@ class TestCoreK:
                 want = first if first is not None and len(first[0]) <= k else None
                 assert decide_core_with_k_vertices(g, k) == want
 
+    def test_retracts_of_core_size_induce_the_core(self):
+        # core-k searches only sets of |C| vertices with |E(C)| induced
+        # edges, which is exact because every such retract induces C itself
+        for g in small_graphs(5):
+            core = compute_core(g).core
+            hits = [
+                x
+                for x in combinations(range(g.n), core.n)
+                if oracles.retract(g, x) is not None
+            ]
+            assert hits
+            for x in hits:
+                assert g.induced(x)[0] == core
+
 
 class TestCoreChi:
     def test_mc4(self):
