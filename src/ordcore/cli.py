@@ -11,20 +11,30 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import cores, formats, gadgets, matchings, retraction
-from .graphs import GraphError, MonotoneMap, OrderedGraph
-from .hypergraphs import HypergraphError
-from .twosat import TwoSatError
+from . import cores, formats, retraction
+from .graphs import MonotoneMap
 
-# the package's own errors, all raised on bad input; anything else is a bug
-_INPUT_ERRORS = (
-    formats.FormatError,
-    GraphError,
-    retraction.RetractionError,
-    gadgets.GadgetError,
-    HypergraphError,
-    TwoSatError,
-)
+# the package's own errors, all raised on bad input; anything else is a bug.
+# gadgets, hypergraphs and matchings are imported by the commands that use
+# them, so the classes are looked up by module.
+_INPUT_ERRORS = {
+    "formats": "FormatError",
+    "graphs": "GraphError",
+    "retraction": "RetractionError",
+    "gadgets": "GadgetError",
+    "hypergraphs": "HypergraphError",
+    "twosat": "TwoSatError",
+}
+
+
+def _input_errors() -> tuple[type[Exception], ...]:
+    """The classes of _INPUT_ERRORS whose modules are loaded; a class whose
+    module never loaded cannot have been raised."""
+    return tuple(
+        getattr(sys.modules[f"{__package__}.{mod}"], name)
+        for mod, name in _INPUT_ERRORS.items()
+        if f"{__package__}.{mod}" in sys.modules
+    )
 
 
 def _read(path: str) -> str:
@@ -152,6 +162,8 @@ def _cmd_sub(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_matching(args: argparse.Namespace) -> int:
+    from . import matchings
+
     m = matchings.mc(args.i)
     sys.stdout.write(formats.serialize_graph(m.graph))
     return 0
@@ -197,6 +209,8 @@ def _layout_text(kind: str, lay) -> str:
 
 
 def _cmd_gen_gadget(args: argparse.Namespace) -> int:
+    from . import gadgets
+
     if args.kind == "x13-hyper":
         phi = formats.parse_x13(_read(args.instance))
         h, lay = gadgets.hypergraph_gadget(phi, k=args.k)
@@ -216,12 +230,13 @@ def _cmd_gen_gadget(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_gadget(args: argparse.Namespace) -> int:
+    from . import gadgets
+    from .hypergraphs import find_nonsurjective_hyper_endomorphism
+
     if args.kind == "x13-hyper":
         phi = formats.parse_x13(_read(args.instance))
         expected = gadgets.brute_force_x13(phi)
         h, lay = gadgets.hypergraph_gadget(phi, k=args.k)
-        from .hypergraphs import find_nonsurjective_hyper_endomorphism
-
         w = find_nonsurjective_hyper_endomorphism(h)
         got = None
         if w is not None:
@@ -328,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except _INPUT_ERRORS as exc:
+    except _input_errors() as exc:  # evaluated only once an exception is raised
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -213,8 +213,12 @@ class DoubleTuple:
 
 
 def _validate_targets(g: OrderedGraph, tgt: SliceTargets) -> None:
+    if g.n < 2:
+        raise GraphError("a 1-vertex graph has no proper slice: a slice keeps 1..n-1 vertices")
     if not 0 < tgt.g < g.n:
         raise GraphError(f"target vertex count {tgt.g} outside 1..{g.n - 1}")
+    if g.m == 0:
+        raise GraphError("an edgeless graph has no proper slice: a slice keeps 0..m-1 edges")
     if not 0 <= tgt.h < g.m:
         raise GraphError(f"target edge count {tgt.h} outside 0..{g.m - 1}")
 

@@ -13,9 +13,13 @@ sizes; the remaining lines carry one object each.
 
 from __future__ import annotations
 
-from .gadgets import PartitionedGraph, X13Formula, new_partitioned
+from typing import TYPE_CHECKING
+
 from .graphs import GraphError, OrderedGraph, new_graph
-from .hypergraphs import HypergraphError, OrderedHypergraph, new_hypergraph
+
+if TYPE_CHECKING:
+    from .gadgets import PartitionedGraph, X13Formula
+    from .hypergraphs import OrderedHypergraph
 
 
 class FormatError(ValueError):
@@ -41,20 +45,25 @@ def _ints(no: int, parts: list[str], count: int, what: str) -> list[int]:
         raise FormatError(f"line {no}: non-integer field in {what}") from None
 
 
-def _header(lines: list[tuple[int, list[str]]], tag: str, sizes: int) -> tuple[list[int], list[tuple[int, list[str]]]]:
+def _header(
+    lines: list[tuple[int, list[str]]], tag: str, sizes: int, items: str | None = None
+) -> tuple[list[int], list[tuple[int, list[str]]]]:
+    """The header's sizes and the lines after it.  With `items`, the second
+    size counts those lines, and a mismatch names the header's line."""
     if not lines:
         raise FormatError("empty input")
     no, parts = lines[0]
     if parts[0] != tag:
         raise FormatError(f"line {no}: expected '{tag}' header, got '{parts[0]}'")
     vals = _ints(no, parts[1:], sizes, f"{tag} header")
-    return vals, lines[1:]
+    body = lines[1:]
+    if items is not None and len(body) != vals[1]:
+        raise FormatError(f"line {no}: header says {vals[1]} {items}, found {len(body)}")
+    return vals, body
 
 
 def parse_graph(text: str) -> OrderedGraph:
-    (n, m), body = _header(_lines(text), "og", 2)
-    if len(body) != m:
-        raise FormatError(f"header says {m} edges, found {len(body)}")
+    (n, _), body = _header(_lines(text), "og", 2, "edges")
     edges = []
     for no, parts in body:
         u, v = _ints(no, parts, 2, "edge")
@@ -76,9 +85,9 @@ def serialize_graph(g: OrderedGraph) -> str:
 
 
 def parse_hypergraph(text: str) -> OrderedHypergraph:
-    (n, m, k), body = _header(_lines(text), "ohg", 3)
-    if len(body) != m:
-        raise FormatError(f"header says {m} hyperedges, found {len(body)}")
+    from .hypergraphs import HypergraphError, new_hypergraph
+
+    (n, _, k), body = _header(_lines(text), "ohg", 3, "hyperedges")
     edges = []
     for no, parts in body:
         e = tuple(_ints(no, parts, k, "hyperedge"))
@@ -100,9 +109,9 @@ def serialize_hypergraph(h: OrderedHypergraph) -> str:
 
 
 def parse_x13(text: str) -> X13Formula:
-    (v, c), body = _header(_lines(text), "x13", 2)
-    if len(body) != c:
-        raise FormatError(f"header says {c} clauses, found {len(body)}")
+    from .gadgets import X13Formula
+
+    (v, _), body = _header(_lines(text), "x13", 2, "clauses")
     clauses = []
     for no, parts in body:
         a, b, d = _ints(no, parts, 3, "clause")
@@ -124,6 +133,8 @@ def serialize_x13(phi: X13Formula) -> str:
 
 
 def parse_partitioned(text: str) -> PartitionedGraph:
+    from .gadgets import new_partitioned
+
     (k, l), body = _header(_lines(text), "mcg", 2)
     edges = []
     for no, parts in body:

@@ -1,6 +1,20 @@
 import pytest
 
-from ordcore import cores, mc, new_graph, parse_graph, parse_hypergraph, serialize_graph
+from ordcore import (
+    FormatError,
+    GadgetError,
+    GraphError,
+    HypergraphError,
+    RetractionError,
+    TwoSatError,
+    cli,
+    cores,
+    mc,
+    new_graph,
+    parse_graph,
+    parse_hypergraph,
+    serialize_graph,
+)
 from ordcore.cli import main
 
 P2 = "og 2 1\n0 1\n"
@@ -162,6 +176,22 @@ class TestSliceSub:
         assert code == 2
         assert "error:" in err
 
+    def test_slice_edgeless_graph(self, files, capsys):
+        code, out, err = run(
+            capsys, "slice", files("e.og", "og 3 0\n"), "--g", "1", "--h", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: an edgeless graph has no proper slice: a slice keeps 0..m-1 edges\n"
+
+    def test_slice_one_vertex_graph(self, files, capsys):
+        code, out, err = run(
+            capsys, "slice", files("v.og", "og 1 0\n"), "--g", "1", "--h", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: a 1-vertex graph has no proper slice: a slice keeps 1..n-1 vertices\n"
+
     def test_sub_yes(self, files, capsys):
         code, out, _ = run(
             capsys, "sub", files("w.og", WEDGE), "--t", "1", "--u", "1"
@@ -305,6 +335,19 @@ class TestErrors:
         code, _, err = run(capsys, "is-core", files("bad.og", BAD))
         assert code == 2
         assert "line 2" in err
+
+    def test_header_count_mismatch_names_the_line(self, files, capsys):
+        code, out, err = run(capsys, "core", files("short.og", "og 3 2\n0 1\n"))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 1: header says 2 edges, found 1\n"
+
+    def test_input_errors_are_the_package_error_classes(self):
+        # every module is loaded in this process, so all six classes appear
+        assert set(cli._input_errors()) == {
+            FormatError, GraphError, RetractionError, GadgetError,
+            HypergraphError, TwoSatError,
+        }
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "is-core", "/nonexistent/x.og")

@@ -44,8 +44,12 @@ class TestGraphFormat:
             parse_graph("og 3 1\n1 1")
 
     def test_count_mismatch(self):
-        with pytest.raises(FormatError, match="edges"):
+        with pytest.raises(FormatError, match="^line 1: header says 2 edges, found 1$"):
             parse_graph("og 3 2\n0 1")
+
+    def test_count_mismatch_names_the_header_line(self):
+        with pytest.raises(FormatError, match="^line 3: header says 1 edges, found 2$"):
+            parse_graph("# a graph\n\nog 3 1\n0 1\n1 2")
 
     def test_bad_header(self):
         with pytest.raises(FormatError, match="header"):
@@ -88,7 +92,7 @@ class TestHypergraphFormat:
             parse_hypergraph("ohg 4 1 3\n0 1 1")
 
     def test_count_mismatch(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="^line 1: header says 2 hyperedges, found 1$"):
             parse_hypergraph("ohg 3 2 3\n0 1 2")
 
     def test_round_trip(self):
@@ -108,6 +112,10 @@ class TestX13Format:
     def test_distinctness(self):
         with pytest.raises(FormatError, match="line 2"):
             parse_x13("x13 3 1\n0 0 1")
+
+    def test_count_mismatch(self):
+        with pytest.raises(FormatError, match="^line 2: header says 2 clauses, found 1$"):
+            parse_x13("# one clause\nx13 3 2\n0 1 2")
 
     def test_clause_order_preserved(self):
         phi = parse_x13("x13 3 2\n2 0 1\n0 1 2")
