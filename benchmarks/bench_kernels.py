@@ -2,10 +2,9 @@
 
 Every workload must prove that no map exists (the script fails otherwise),
 so each run searches its whole pruned tree.  The graph cases time
-`find_hom`, which has only the pure Python kernel; the hypergraph case
-times `find_hyperhom` on the pure kernel and, when the extension is built,
-on the compiled one.  Each case is repeated until it has consumed a small
-time budget and the fastest repetition is kept.
+`find_hom` and the hypergraph case times `find_hyperhom`.  Each case is
+repeated until it has consumed a small time budget and the fastest
+repetition is kept.
 
 Run from the repository root:
 
@@ -15,13 +14,8 @@ Run from the repository root:
 import time
 
 from ordcore import X13Formula, clique_gadget, hypergraph_gadget, mc, new_partitioned
-from ordcore._kernels import _pykernels
+from ordcore import _kernels
 from ordcore.hypergraphs import _masks
-
-try:
-    from ordcore._kernels import _ckernels
-except ImportError:
-    _ckernels = None
 
 
 def best_of(fn, budget=2.0, cap=25):
@@ -37,27 +31,22 @@ def best_of(fn, budget=2.0, cap=25):
 
 
 def graph_case(name, g, min_image=0):
-    def pure():
-        return _pykernels.find_hom(
+    def search():
+        return _kernels.find_hom(
             g.n, g.adj, g.n, g.adj, forbid_identity=True, min_image=min_image
         )
 
-    return name, pure, None
+    return name, search
 
 
 def hyper_case(name, hg):
     edges = hg.edge_list()
     masks = _masks(edges)
 
-    def pure():
-        return _pykernels.find_hyperhom(
-            hg.n, edges, hg.n, masks, forbid_identity=True, allowed=-1
-        )
+    def search():
+        return _kernels.find_hyperhom(hg.n, edges, hg.n, masks, forbid_identity=True)
 
-    def compiled():
-        return _ckernels.find_hyperhom(hg.n, edges, hg.n, masks, None, True, None)
-
-    return name, pure, compiled if _ckernels is not None else None
+    return name, search
 
 
 def main():
@@ -77,16 +66,13 @@ def main():
             )[0],
         ),
     ]
-    if _ckernels is None:
-        print("compiled kernels unavailable; timing the pure backend only")
-    width = max(len(name) for name, _, _ in cases)
-    header = f"{'workload':<{width}}  {'pure':>10}  {'compiled':>10}"
+    width = max(len(name) for name, _ in cases)
+    header = f"{'workload':<{width}}  {'time':>10}"
     print(header)
     print("-" * len(header))
-    for name, pure, compiled in cases:
-        tp, _ = best_of(pure)
-        tc = f"{best_of(compiled)[0] * 1000:>8.1f}ms" if compiled is not None else f"{'-':>10}"
-        print(f"{name:<{width}}  {tp * 1000:>8.1f}ms  {tc}")
+    for name, search in cases:
+        t, _ = best_of(search)
+        print(f"{name:<{width}}  {t * 1000:>8.1f}ms")
 
 
 if __name__ == "__main__":

@@ -149,6 +149,8 @@ def decide_core_with_k_vertices(
     |E(C)| induced edges, which exists because the core's embedding is one.
     A budget of n-1 therefore succeeds exactly on non-cores.
     """
+    if g.n < 2:
+        raise GraphError("a 1-vertex graph has no proper retract: k counts 1..n-1 kept vertices")
     if not 1 <= k < g.n:
         raise GraphError(f"k={k} outside 1..{g.n - 1}")
     core = compute_core(g).core
@@ -279,9 +281,15 @@ def solve_sub(
     """First success of solve_slice over the deficit grid, t-major order."""
     if not dt.t or not dt.u:
         raise GraphError("doubletuple lists must be nonempty")
+    if g.n < 2:
+        raise GraphError("a 1-vertex graph has no vertex deficit: a deficit removes 1..n-1 vertices")
     for t in dt.t:
         if not 0 < t < g.n:
             raise GraphError(f"vertex deficit {t} outside 1..{g.n - 1}")
+    if g.m < 2:
+        raise GraphError(
+            "a graph with at most one edge has no edge deficit: a deficit removes 1..m-1 edges"
+        )
     for u in dt.u:
         if not 0 < u < g.m:
             raise GraphError(f"edge deficit {u} outside 1..{g.m - 1}")

@@ -73,6 +73,30 @@ def find_hom_masks(
     return None
 
 
+def find_hyperhom_masks(
+    n_g, edges_g, n_h, edge_masks_h, fixed=None, forbid_identity=False, allowed=None,
+):
+    """The contract of the kernel `find_hyperhom`, by enumeration: the first
+    monotone map [n_g] -> [n_h] in lexicographic order that takes the pinned
+    value wherever fixed[i] >= 0, has every value inside the bitmask allowed
+    (when given), is not the identity tuple under forbid_identity, and sends
+    every hyperedge injectively onto one of the target masks."""
+    targets = set(edge_masks_h)
+    for f in monotone_maps(n_g, n_h):
+        if fixed is not None and any(p >= 0 and f[i] != p for i, p in enumerate(fixed)):
+            continue
+        if allowed is not None and any(not allowed >> t & 1 for t in f):
+            continue
+        if forbid_identity and f == tuple(range(n_g)):
+            continue
+        if all(
+            len({f[v] for v in e}) == len(e) and sum(1 << f[v] for v in e) in targets
+            for e in edges_g
+        ):
+            return list(f)
+    return None
+
+
 def retraction_maps(g, x):
     """All retractions of g onto the subgraph induced by x."""
     xset = set(x)

@@ -117,6 +117,12 @@ class TestCore:
         assert code == 2
         assert "error:" in err
 
+    def test_core_k_one_vertex_graph(self, files, capsys):
+        code, out, err = run(capsys, "core-k", files("v.og", "og 1 0\n"), "--k", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: a 1-vertex graph has no proper retract: k counts 1..n-1 kept vertices\n"
+
     def test_core_chi_yes(self, files, capsys):
         code, out, _ = run(capsys, "core-chi", files("m.og", MC4))
         assert code == 0
@@ -205,6 +211,25 @@ class TestSliceSub:
         )
         assert code == 1
         assert out == "NONE\n"
+
+    def test_sub_one_edge_graph(self, files, capsys):
+        code, out, err = run(
+            capsys, "sub", files("e.og", "og 3 1\n0 2\n"), "--t", "1", "--u", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: a graph with at most one edge has no edge deficit:"
+            " a deficit removes 1..m-1 edges\n"
+        )
+
+    def test_sub_one_vertex_graph(self, files, capsys):
+        code, out, err = run(
+            capsys, "sub", files("v.og", "og 1 0\n"), "--t", "1", "--u", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: a 1-vertex graph has no vertex deficit: a deficit removes 1..n-1 vertices\n"
 
     def test_sub_empty_list(self, files, capsys):
         code, _, err = run(

@@ -8,6 +8,7 @@ from ordcore import (
     MonotoneMap,
     SliceTargets,
     decide_core_chi,
+    find_nonsurjective_hyper_endomorphism,
     interval_chromatic_number,
     is_ordered_hyperhom,
     mc,
@@ -30,6 +31,13 @@ from ordcore.gadgets import (
 
 SAT1 = X13Formula(3, ((0, 1, 2),))
 UNSAT = X13Formula(4, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+# the unsatisfiable formula of the gadget-verify benchmark
+UNSAT_HYPER = X13Formula(5, ((0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 3, 4)))
+# connected and satisfiable on 12 variables: 72 vertices at k=5, past 64
+SAT12 = X13Formula(12, (
+    (0, 1, 10), (2, 4, 5), (3, 4, 9), (0, 9, 11), (2, 6, 10),
+    (6, 8, 10), (5, 7, 8), (0, 4, 8), (0, 5, 7),
+))
 TRIPLED = X13Formula(3, ((0, 1, 2), (0, 1, 2), (0, 1, 2)))
 
 
@@ -116,6 +124,20 @@ class TestHyperGadget:
             assert len(set(f.image)) < hg.n
             assert extract_assignment(lay, f) == bits
         assert hits == 3
+
+    def test_search_round_trip_past_64_vertices(self):
+        assert brute_force_x13(SAT12) is not None
+        hg, lay = hypergraph_gadget(SAT12, k=5)
+        assert hg.n == 72
+        f = find_nonsurjective_hyper_endomorphism(hg)
+        assert f is not None and not f.is_identity()
+        assert is_ordered_hyperhom(hg, hg, f)
+        assert SAT12.is_one_in_three(extract_assignment(lay, f))
+
+    def test_search_unsatisfiable_k5(self):
+        assert brute_force_x13(UNSAT_HYPER) is None
+        hg, _ = hypergraph_gadget(UNSAT_HYPER, k=5)
+        assert find_nonsurjective_hyper_endomorphism(hg) is None
 
     def test_extract_rejects_identity(self):
         hg, lay = hypergraph_gadget(SAT1)

@@ -1,14 +1,9 @@
-import os
-import subprocess
-import sys
 from itertools import combinations, product
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordcore import _kernels
-from ordcore._kernels import _pykernels
 from ordcore import (
     find_ordered_homomorphism,
     is_ordered_homomorphism,
@@ -18,13 +13,6 @@ from ordcore import (
 )
 
 import oracles
-
-try:
-    from ordcore._kernels import _ckernels as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(compiled is None, reason="compiled kernels not built")
 
 
 def adj_masks(n, edges):
@@ -66,22 +54,28 @@ def hom_case(draw):
     return n_g, adj_g, n_h, adj_h, fixed, forbid, min_image, descending
 
 
+def uniform_edges(n, k):
+    return list(combinations(range(n), k))
+
+
 @st.composite
 def hyperhom_case(draw):
-    n = draw(st.integers(3, 7))
-    pool = list(combinations(range(n), 3))
-    edges_g = draw(st.lists(st.sampled_from(pool), unique=True, min_size=1, max_size=6))
-    edges_h = draw(st.lists(st.sampled_from(pool), unique=True, min_size=1, max_size=6))
+    k = draw(st.integers(2, 4))
+    n_g = draw(st.integers(1, 7))
+    n_h = n_g if draw(st.booleans()) else draw(st.integers(1, 7))
+    # either list may be empty: an edgeless G, or no target hyperedge at all;
+    # targets of size k + 1 have k-prefixes that are no target themselves
+    pool_g = uniform_edges(n_g, k)
+    pool_h = uniform_edges(n_h, k) + (uniform_edges(n_h, k + 1) if draw(st.booleans()) else [])
+    edges_g = draw(st.lists(st.sampled_from(pool_g), unique=True, max_size=6)) if pool_g else []
+    edges_h = draw(st.lists(st.sampled_from(pool_h), unique=True, max_size=6)) if pool_h else []
     masks_h = [sum(1 << v for v in e) for e in edges_h]
     fixed = None
     if draw(st.booleans()):
-        fixed = [i if draw(st.booleans()) else -1 for i in range(n)]
+        fixed = [draw(st.integers(0, n_h - 1)) if draw(st.booleans()) else -1 for _ in range(n_g)]
     forbid = draw(st.booleans())
-    allowed = None
-    if draw(st.booleans()):
-        keep = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
-        allowed = sum(1 << v for v in keep)
-    return n, edges_g, masks_h, fixed, forbid, allowed
+    allowed = draw(st.integers(0, (1 << n_h) - 1)) if draw(st.booleans()) else None
+    return n_g, edges_g, n_h, masks_h, fixed, forbid, allowed
 
 
 class TestFindHomOracle:
@@ -99,46 +93,59 @@ class TestFindHomOracle:
                     fixed = [-1] * n_g
                     fixed[n_g // 2] = n_h // 2
                 args = (n_g, adj_g, n_h, adj_h, fixed, forbid, min_image, descending)
-                assert _pykernels.find_hom(*args) == oracles.find_hom_masks(*args), args
+                assert _kernels.find_hom(*args) == oracles.find_hom_masks(*args), args
 
     @settings(max_examples=200, deadline=None)
     @given(hom_case())
     def test_random(self, case):
-        assert _pykernels.find_hom(*case) == oracles.find_hom_masks(*case)
+        assert _kernels.find_hom(*case) == oracles.find_hom_masks(*case)
 
     def test_large_sparse_identity(self):
         g = path_graph(2000)
         assert find_ordered_homomorphism(g, g) == MonotoneMap(tuple(range(2000)))
 
 
-class TestBackendParity:
-    @needs_compiled
-    @settings(max_examples=400, deadline=None)
+class TestFindHyperhomOracle:
+    def test_exhaustive_small(self):
+        # G: every 2-uniform hypergraph on at most 3 vertices and every
+        # 3-uniform one on at most 4.  H: every hypergraph on as many
+        # vertices with hyperedges of size k or k + 1.  Each pair runs under
+        # every combination of a pin, forbid_identity and a forbidden target.
+        def all_hypergraphs(top, sizes):
+            for n in range(1, top + 1):
+                pool = [e for s in sizes for e in uniform_edges(n, s)]
+                for mask in range(1 << len(pool)):
+                    yield n, [e for b, e in enumerate(pool) if mask >> b & 1]
+
+        for k, top in ((2, 3), (3, 4)):
+            targets = [
+                (n, [sum(1 << v for v in e) for e in edges])
+                for n, edges in all_hypergraphs(top, (k, k + 1))
+            ]
+            for (n_g, edges_g), (n_h, masks_h) in product(all_hypergraphs(top, (k,)), targets):
+                for pin, forbid, gap in product((False, True), repeat=3):
+                    fixed = None
+                    if pin:
+                        fixed = [-1] * n_g
+                        fixed[n_g // 2] = n_h // 2
+                    allowed = ((1 << n_h) - 1) & ~(1 << (n_h // 2)) if gap else None
+                    args = (n_g, edges_g, n_h, masks_h, fixed, forbid, allowed)
+                    assert _kernels.find_hyperhom(*args) == oracles.find_hyperhom_masks(*args), args
+
+    @settings(max_examples=200, deadline=None)
     @given(hyperhom_case())
-    def test_find_hyperhom_identical(self, case):
-        n, edges_g, masks_h, fixed, forbid, allowed = case
-        pure = _pykernels.find_hyperhom(
-            n, edges_g, n, masks_h, fixed, forbid,
-            -1 if allowed is None else allowed,
-        )
-        fast = compiled.find_hyperhom(
-            n, edges_g, n, masks_h, fixed, forbid, allowed
-        )
-        assert pure == fast
+    def test_random(self, case):
+        assert _kernels.find_hyperhom(*case) == oracles.find_hyperhom_masks(*case)
 
 
 class TestDispatch:
     def test_backend_reports(self):
-        assert _kernels.backend() in ("compiled", "pure")
+        assert _kernels.backend() == "pure"
 
     def test_large_graph_uses_pure_path(self):
-        # 65 vertices exceeds any 64-bit mask budget; the dispatcher must
-        # run the pure kernel and still return a correct map
+        # 65 vertices do not fit a 64-bit mask; the kernel has no size limit
         g = path_graph(65)
-        res = _kernels.find_hom(g.n, g.adj, g.n, g.adj)
-        assert res == list(range(65))
-        direct = _pykernels.find_hom(g.n, g.adj, g.n, g.adj)
-        assert res == direct
+        assert _kernels.find_hom(g.n, g.adj, g.n, g.adj) == list(range(65))
 
     def test_results_validate_as_homomorphisms(self):
         g = new_graph(6, [(0, 3), (1, 4), (2, 5), (0, 5)])
@@ -146,24 +153,3 @@ class TestDispatch:
         if res is not None:
             assert is_ordered_homomorphism(g, g, MonotoneMap(tuple(res)))
             assert tuple(res) != tuple(range(6))
-
-    def test_pure_env_forces_pure(self):
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import ordcore._kernels as k; print(k.backend())"],
-            capture_output=True, text=True,
-            env={**os.environ, "ORDCORE_PURE": "1"},
-        )
-        assert out.stdout.strip() == "pure"
-
-    @needs_compiled
-    def test_default_env_prefers_compiled(self):
-        # the parent environment keeps PYTHONPATH, so an uninstalled
-        # checkout imports the same package as this process
-        env = {k: v for k, v in os.environ.items() if k != "ORDCORE_PURE"}
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import ordcore._kernels as k; print(k.backend())"],
-            capture_output=True, text=True, env=env,
-        )
-        assert out.stdout.strip() == "compiled"
